@@ -9,9 +9,13 @@ fills.
 The store is indexed the way Bayou-family systems keep their logs:
 per-origin contiguous arrays alongside the uid map. ``updates_since``
 — the inner loop of every anti-entropy session (paper §2.1 steps 7/10)
-— therefore slices per-origin suffixes in O(missing + origins) instead
-of scanning and re-sorting the whole log, which is what lets
-long-horizon runs keep a constant per-session cost as logs grow.
+— asks the summary vector which origins the peer lags on, then slices
+only those origins' suffixes: O(origins that differ + writes moved) in
+interpreter work, with no scan or re-sort of the whole log and no loop
+over every origin ever seen. ``add_all`` folds a received batch the
+same way, appending in-order runs straight onto the prefix arrays. So a
+session costs what the two replicas actually differ by, however long
+the logs grow and however many origins write.
 
 Truncation policies implement the Bayou-inspired policy family the
 paper's related-work section discusses ("how aggressively to truncate
@@ -241,8 +245,40 @@ class WriteLog:
         return True
 
     def add_all(self, updates: Iterable[Update]) -> List[Update]:
-        """Insert many writes; returns those that were new."""
-        return [u for u in updates if self.add(u)]
+        """Insert many writes; returns those that were new.
+
+        Equivalent to calling :meth:`add` on each update in turn.  A
+        session batch is mostly in-order runs, so the common case — the
+        next contiguous seq of an origin that already has a prefix and
+        holds nothing ahead of it — is appended to the prefix arrays
+        here directly; every other update (duplicate, purged, out of
+        order, first from its origin) takes the general :meth:`add`.
+        """
+        new: List[Update] = []
+        entries = self._entries
+        prefixes = self._prefix
+        prefix_seqs = self._prefix_seqs
+        ahead = self._ahead
+        advance_if_next = self.summary.advance_if_next
+        for update in updates:
+            origin = update.origin
+            seqs = prefix_seqs.get(origin)
+            seq = update.seq
+            # seq == summary + 1 with nothing ahead means the write is
+            # neither stored nor purged (purges never pass the summary).
+            if (
+                seqs is not None
+                and origin not in ahead
+                and advance_if_next(origin, seq)
+            ):
+                entries[(origin, seq)] = update
+                prefixes[origin].append(update)
+                seqs.append(seq)
+                self.total_added += 1
+                new.append(update)
+            elif self.add(update):
+                new.append(update)
+        return new
 
     # -- anti-entropy support ------------------------------------------------------
 
@@ -254,18 +290,30 @@ class WriteLog:
         seeing if some of its summary timestamps are greater than the
         corresponding ones its partner['s]".
 
-        Cost is O(missing + origins): per origin one bisect locates the
-        suffix the peer lacks, and ahead-of-prefix entries (always newer
-        than the whole prefix) are appended after it.
+        Only two kinds of origin can contribute: those whose summary
+        prefix here exceeds the peer's
+        (:meth:`SummaryVector.origins_ahead_of`) and those holding
+        ahead-of-prefix entries.  Just that union is sorted and visited,
+        each with one bisect locating the suffix the peer lacks, so the
+        Python-level cost is O(origins that differ + writes moved)
+        rather than a loop over every origin the log has seen.
         """
+        origins = self.summary.origins_ahead_of(peer_summary)
+        ahead_map = self._ahead
+        if ahead_map:
+            origins = set(origins)
+            origins.update(ahead_map)
+        if not origins:
+            return []
         missing: List[Update] = []
-        for origin in self._sorted_origins():
+        prefix_seqs = self._prefix_seqs
+        for origin in sorted(origins):
             floor = peer_summary.get(origin)
-            seqs = self._prefix_seqs.get(origin)
+            seqs = prefix_seqs.get(origin)
             if seqs and seqs[-1] > floor:
                 start = bisect_right(seqs, floor)
                 missing.extend(self._prefix[origin][start:])
-            ahead = self._ahead.get(origin)
+            ahead = ahead_map.get(origin)
             if ahead:
                 missing.extend(
                     ahead[seq] for seq in sorted(ahead) if seq > floor

@@ -15,7 +15,7 @@ the summary inside the write log until anti-entropy fills the gap.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from ..errors import ReplicationError
 
@@ -52,6 +52,29 @@ class SummaryVector:
         """Highest contiguous sequence seen from ``origin`` (0 if none)."""
         return self._entries.get(int(origin), 0)
 
+    def origins_ahead_of(self, peer: "SummaryVector") -> List[int]:
+        """Origins whose prefix here exceeds ``peer``'s, in dict order.
+
+        This is the per-session diff of steps 7/10 (which origins does
+        the partner lag on), computed straight off the two entry dicts:
+        a copy-on-write view of the same dict answers ``[]`` at once, an
+        equal vector after one C-level dict comparison, and anything
+        else after a single pass with no per-origin method calls.
+        Origins missing from ``peer`` count as 0 there.
+        """
+        mine = self._entries
+        theirs = peer._entries
+        if mine is theirs or mine == theirs:
+            return []
+        floor = theirs.get
+        ahead: List[int] = []
+        # A plain loop: cheaper than a comprehension's extra frame on
+        # the few-origin vectors most sessions compare.
+        for origin, seq in mine.items():
+            if seq > floor(origin, 0):
+                ahead.append(origin)
+        return ahead
+
     def covers(self, origin: int, seq: int) -> bool:
         """Whether the write ``(origin, seq)`` is within the known prefix."""
         if seq <= 0:
@@ -85,14 +108,27 @@ class SummaryVector:
                 — the caller (the write log) is responsible for ordering.
         """
         origin = int(origin)
-        expected = self.get(origin) + 1
-        if seq != expected:
+        if not self.advance_if_next(origin, seq):
             raise ReplicationError(
-                f"cannot advance origin {origin} to {seq}; expected {expected}"
+                f"cannot advance origin {origin} to {seq}; "
+                f"expected {self.get(origin) + 1}"
             )
+
+    def advance_if_next(self, origin: int, seq: int) -> bool:
+        """:meth:`advance` when ``seq`` is the next one; else change nothing.
+
+        Returns whether the prefix moved.  The write log's batch fold
+        calls this once per in-order update, so ``origin`` must already
+        be an ``int`` (no coercion on this path).
+        """
+        entries = self._entries
+        if entries.get(origin, 0) + 1 != seq:
+            return False
         if self._shared:
             self._detach()
-        self._entries[origin] = seq
+            entries = self._entries
+        entries[origin] = seq
+        return True
 
     def merge(self, other: "SummaryVector") -> None:
         """Elementwise maximum (used for ack vectors, not data receipt)."""

@@ -402,6 +402,10 @@ class TcpTransport:
         self._pumps: Dict[int, "asyncio.Task[None]"] = {}
         self._pumping = False
         self._peers: Dict[int, _PeerLink] = {}
+        #: Set for good by close(): protocol timers still firing while
+        #: (or after) it awaits must not open fresh peer links, whose
+        #: tasks nothing would ever await.
+        self._closed = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbound_tasks: Set["asyncio.Task[None]"] = set()
         self.address: Optional[Tuple[str, int]] = None
@@ -428,7 +432,12 @@ class TcpTransport:
         return self.address
 
     async def close(self) -> None:
-        """Stop serving, close every peer link, cancel the pumps."""
+        """Stop serving, close every peer link, cancel the pumps.
+
+        From here on :meth:`send` drops and meters every message, so
+        nothing scheduled during or after the close reopens a link.
+        """
+        self._closed = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -552,6 +561,9 @@ class TcpTransport:
         if not self.topology.has_edge(src, dst):
             raise SimulationError(f"no link {src}->{dst}")
         self.counters.note_send(kind, size)
+        if self._closed:
+            self._drop(src, dst, kind, "transport-closed")
+            return False
         if self.link_state.active and not self.link_state.can_carry(src, dst):
             self._drop(src, dst, kind, "link-down")
             return False
@@ -605,6 +617,9 @@ class TcpTransport:
         self, src: int, dst: int, message: object, corrupt: bool = False
     ) -> None:
         """After the link latency: deliver locally or frame to the peer."""
+        if self._closed:
+            self._drop(src, dst, message_kind(message), "transport-closed")
+            return
         if self.link_state.active and not (
             self.link_state.node_is_up(src) and self.link_state.node_is_up(dst)
         ):
@@ -632,6 +647,8 @@ class TcpTransport:
 
     def _dispatch_duplicate(self, src: int, dst: int, message: object) -> None:
         """Ship the channel's duplicate copy; the receiver suppresses it."""
+        if self._closed:
+            return
         if dst in self.local_nodes:
             self.counters.duplicates_suppressed += 1
             return

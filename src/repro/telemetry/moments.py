@@ -8,9 +8,11 @@ merge exactly (Chan et al.'s parallel update), which is what lets
 per-worker or per-shard aggregates combine into one campaign-wide
 summary, and what makes checkpointed aggregates resumable.
 
-Counts and means are *exact* (floating-point associativity aside, the
-merge formula is algebraically identical to one-pass Welford over the
-concatenated stream; the property tests pin agreement to 1e-9).
+Counts are exact; the merge formula is algebraically identical to
+one-pass Welford over the concatenated stream, so the two differ only by
+rounding.  The property tests hold both against an exact
+``fractions.Fraction`` mean and variance, within bounds derived from
+n·ε·max|x|.
 """
 
 from __future__ import annotations

@@ -11,12 +11,18 @@ frame dispatch, drop-while-disconnected, and reconnect-after-restart.
 from __future__ import annotations
 
 import asyncio
+import os
 import socket
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import TransportError
 from repro.runtime.live import AsyncioRuntime
 from repro.runtime.tcp import (
@@ -325,6 +331,50 @@ class TestTcpTransport:
 
         asyncio.run(main())
 
+    def test_sends_racing_close_open_no_peer_links(self):
+        """Timers still firing while close() awaits must not reopen links.
+
+        Protocol timers keep calling ``send`` until the loop stops; a
+        peer link opened after close() cleared the table would leave a
+        task nothing awaits ("Task was destroyed but it is pending!").
+        """
+
+        async def main():
+            a, _ = _two_transports()
+            loop = asyncio.get_running_loop()
+            await a.serve()
+            a.attach(0, lambda src, msg: None)
+            a.start_pumps()
+            # No directory entry for node 1: its link task stays alive,
+            # backing off, until something cancels and awaits it.
+            assert a.send(0, 1, "early") is True
+            await _wait_for(lambda: 1 in a._peers)
+            racing = {"on": True, "sent": 0}
+
+            def keep_sending():
+                a.send(0, 1, "racing")
+                racing["sent"] += 1
+                if racing["on"]:
+                    loop.call_soon(keep_sending)
+
+            loop.call_soon(keep_sending)
+            await asyncio.sleep(0.01)
+            await a.close()
+            dropped = a.counters.messages_dropped
+            for _ in range(20):
+                await asyncio.sleep(0.001)
+            racing["on"] = False
+            await asyncio.sleep(0)
+
+            assert racing["sent"] > 0
+            assert a._peers == {}
+            assert a.send(0, 1, "after") is False
+            assert a.counters.messages_dropped > dropped
+            stray = asyncio.all_tasks() - {asyncio.current_task()}
+            assert stray == set()
+
+        asyncio.run(main())
+
     def test_send_refused_by_link_state(self):
         async def main():
             a, b = _two_transports()
@@ -371,3 +421,54 @@ class TestTcpTransport:
                 await b.close()
 
         asyncio.run(main())
+
+
+#: A client bursting puts into a 3-process tcp cluster and closing it at
+#: once, several times over.  A small time scale keeps protocol timers
+#: firing through every node's shutdown, which is the race under test.
+#: It runs from a file: ``spawn`` children cannot re-import a stdin main.
+BURST_AND_CLOSE = """
+from repro.runtime.cluster import ReplicaCluster
+from repro.topology.simple import line
+
+if __name__ == "__main__":
+    for cycle in range(4):
+        cluster = ReplicaCluster(
+            line(3), seed=cycle, time_scale=0.001, transport="tcp"
+        ).start()
+        try:
+            for i in range(150):
+                cluster.put(f"k{i % 7}", i, node=i % 3)
+        finally:
+            cluster.close()
+    print("closed")
+"""
+
+
+class TestTcpClusterShutdown:
+    def test_close_after_burst_leaves_no_pending_tasks(self, tmp_path):
+        script = tmp_path / "burst_and_close.py"
+        script.write_text(textwrap.dedent(BURST_AND_CLOSE))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        # Node processes inherit this stderr, so their asyncio shutdown
+        # complaints land in ``stderr`` here.
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            cwd=str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "closed"
+        noisy = [
+            line
+            for line in done.stderr.splitlines()
+            if "Task was destroyed" in line or "never retrieved" in line
+        ]
+        assert noisy == [], done.stderr

@@ -6,16 +6,21 @@ The hypothesis properties pin the subsystem's load-bearing claims:
   rank-error bound of the exact sorted data, for any stream;
 * ``merge(a, b)`` answers like a sketch of the concatenated stream,
   again within the merged sketch's own bound;
-* ``RunningMoments.merge`` matches one-pass Welford to 1e-9.
+* ``RunningMoments.merge`` and one-pass Welford both match the exact
+  (``fractions.Fraction``) mean and variance within a rounding bound
+  derived from n·ε·max|x|.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pickle
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
@@ -99,7 +104,11 @@ class TestRunningMoments:
             assert copy.to_dict() == m.to_dict()
 
     @given(values_strategy, values_strategy)
+    # Found by hypothesis: the one-pass mean is 2e-8 off the exact -22/3,
+    # fine for data of magnitude 1e9 but not within 1e-9 of |mean| ~ 7.
+    @example(left=[0.0], right=[-999999646.0, 999999624.0])
     def test_merge_matches_one_pass_welford(self, left, right):
+        """Merged and one-pass moments both match the exact ones."""
         a = RunningMoments()
         a.extend(left)
         b = RunningMoments()
@@ -109,14 +118,32 @@ class TestRunningMoments:
         one_pass = RunningMoments()
         one_pass.extend(left + right)
 
-        assert a.count == one_pass.count
-        assert a.minimum == one_pass.minimum
-        assert a.maximum == one_pass.maximum
-        scale = max(1.0, abs(one_pass.mean))
-        assert abs(a.mean - one_pass.mean) <= 1e-9 * scale
-        va, vb = a.variance(), one_pass.variance()
-        vscale = max(1.0, abs(vb))
-        assert abs(va - vb) <= 1e-6 * vscale
+        values = left + right
+        assert a.count == one_pass.count == len(values)
+        assert a.minimum == one_pass.minimum == min(values)
+        assert a.maximum == one_pass.maximum == max(values)
+
+        exact = [Fraction(v) for v in values]
+        n = len(exact)
+        mean = sum(exact) / n
+        variance = sum((x - mean) ** 2 for x in exact) / (n - 1) if n > 1 else 0
+        # Rounding bounds, from the data's magnitude M = max|x| (never
+        # from the result, which may cancel to ~0).  Each Welford step
+        # rounds three operations on values of size <= 2M and damps
+        # earlier errors, so the mean is off by at most 3nεM; Chan's
+        # merge adds O(εM).  Each M2 term delta*(x - mean) is <= 4M²
+        # and inherits the running mean's error, so M2 is off by at
+        # most ~24n²εM²: divided by n-1, the variance by <= 32nεM².
+        # Near underflow every operation may also err by the smallest
+        # subnormal η absolutely, hence the 4nη terms.
+        eps = Fraction(sys.float_info.epsilon)
+        tiny = Fraction(math.ulp(0.0))
+        magnitude = max(abs(x) for x in exact)
+        mean_bound = 4 * n * (eps * magnitude + tiny)
+        variance_bound = 4 * n * (8 * eps * magnitude**2 + tiny)
+        for moments in (a, one_pass):
+            assert abs(Fraction(moments.mean) - mean) <= mean_bound
+            assert abs(Fraction(moments.variance()) - variance) <= variance_bound
 
     @given(values_strategy)
     def test_merge_into_empty_is_identity(self, values):
